@@ -1,11 +1,10 @@
-"""Set-associative LRU cache simulator.
+"""Set-associative LRU cache simulator, one access at a time.
 
-Operates on arrays of 64-byte cache-line addresses. Consecutive
-duplicate addresses are collapsed vectorized before the sequential LRU
-walk — a duplicate of the immediately preceding access is always a hit
-in an LRU cache, so the collapse is exact, and it removes the bulk of
-the stream (bilinear footprints of neighbouring pixels overlap
-heavily).
+``CacheSim`` walks a stream through per-set dicts in a Python loop. It
+is the oracle of the bulk simulator in :mod:`repro.memsys.lru`, which
+production code uses. Consecutive duplicate addresses are collapsed
+vectorized before the walk — a duplicate of the immediately preceding
+access is always a hit in an LRU cache, so the collapse is exact.
 """
 
 from __future__ import annotations
@@ -66,14 +65,24 @@ def collapse_consecutive(lines: np.ndarray) -> "tuple[np.ndarray, int]":
     return lines[keep], dropped
 
 
+def checked_num_sets(config: CacheConfig) -> int:
+    """The cache's set count; set indexing needs a power of two."""
+    num_sets = config.num_sets
+    if num_sets & (num_sets - 1):
+        raise ConfigError(f"number of sets must be a power of two, got {num_sets}")
+    return num_sets
+
+
 class CacheSim:
-    """One set-associative LRU cache."""
+    """One set-associative LRU cache, one access at a time.
+
+    The reference the bulk simulator (:mod:`repro.memsys.lru`) is
+    checked against; production code does not call it.
+    """
 
     def __init__(self, config: CacheConfig) -> None:
-        num_sets = config.num_sets
-        if num_sets & (num_sets - 1):
-            raise ConfigError(f"number of sets must be a power of two, got {num_sets}")
         self.config = config
+        num_sets = checked_num_sets(config)
         self._set_mask = num_sets - 1
         self._ways = config.ways
         # One insertion-ordered dict of resident line addresses per

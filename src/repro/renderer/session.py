@@ -29,7 +29,7 @@ from ..core.af_ssim import sharing_fraction_from_csr, txds_from_csr
 from ..core.patu import FilterMode, PatuDecision, PerceptionAwareTextureUnit
 from ..core.scenarios import Scenario
 from ..errors import PipelineError
-from ..memsys.hierarchy import HierarchyStats, TextureMemoryHierarchy
+from ..memsys.hierarchy import HierarchyStats, TextureMemoryHierarchy, TileStreams
 from ..memsys.traffic import BandwidthBreakdown, frame_breakdown
 from ..obs import TELEMETRY
 from ..power.components import EnergyParams
@@ -210,6 +210,7 @@ class RenderSession:
         self._texpipe = TexturePipelineModel(config, self.timing_params)
         self._gpu_timing = GpuTimingModel(config, self.timing_params)
         self._energy_model = EnergyModel(config, self.energy_params)
+        self._hierarchy = TextureMemoryHierarchy(config)
         self._layouts: "dict[int, tuple[TextureLayout, dict[str, int]]]" = {}
 
     # ------------------------------------------------------------------
@@ -634,20 +635,19 @@ class RenderSession:
         segment lengths.
         """
         af_mask = decision.mode == FilterMode.AF
-        lengths = np.where(
-            af_mask, capture.n * TEXELS_PER_TRILINEAR, TEXELS_PER_TRILINEAR
-        ).astype(np.int64)
+        af_lengths = capture.n * TEXELS_PER_TRILINEAR
+        lengths = np.where(af_mask, af_lengths, TEXELS_PER_TRILINEAR).astype(np.int64)
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         out = np.empty(int(offsets[-1]), dtype=np.int64)
 
-        af_rows = np.nonzero(af_mask)[0]
-        if af_rows.size:
-            lens = lengths[af_rows]
-            dst = _expand_ranges(offsets[af_rows], lens)
-            src = _expand_ranges(
-                capture.sample_row_ptr[af_rows] * TEXELS_PER_TRILINEAR, lens
-            )
-            out[dst] = capture.af_lines[src]
+        if af_mask.any():
+            # ``af_lines`` holds every pixel's AF segment in pixel order
+            # (``sample_row_ptr`` is the cumulative ``n``), and an AF
+            # pixel's slot in the stream has that segment's length, so
+            # two boolean masks move all AF segments at once.
+            out[np.repeat(af_mask, lengths)] = capture.af_lines[
+                np.repeat(af_mask, af_lengths)
+            ]
 
         for mask, table in (
             (decision.mode == FilterMode.TF_TF_LOD, capture.tf_lines),
@@ -669,19 +669,12 @@ class RenderSession:
         with TELEMETRY.span("session.simulate_hierarchy", lines=int(lines.size)):
             boundaries = np.nonzero(np.diff(capture.tile_ids))[0] + 1
             starts = np.concatenate([[0], boundaries])
-            tile_of_segment = capture.tile_ids[starts]
-            line_counts = np.add.reduceat(lengths, starts)
-            line_offsets = np.concatenate([[0], np.cumsum(line_counts)])
-            num_units = self.config.num_texture_units
-            tile_streams = [
-                (
-                    int(tile_of_segment[i]) % num_units,
-                    lines[line_offsets[i] : line_offsets[i + 1]],
-                )
-                for i in range(starts.size)
-            ]
-            hierarchy = TextureMemoryHierarchy(self.config)
-            return hierarchy.process_frame(tile_streams)
+            line_offsets = np.zeros(starts.size + 1, dtype=np.int64)
+            np.cumsum(np.add.reduceat(lengths, starts), out=line_offsets[1:])
+            units = capture.tile_ids[starts] % self.config.num_texture_units
+            return self._hierarchy.process_frame(
+                TileStreams(lines, units, line_offsets)
+            )
 
     def _frame_events(
         self,
@@ -713,9 +706,8 @@ class RenderSession:
         hier: HierarchyStats,
     ) -> "tuple[TextureTiming, FrameTiming, float]":
         with TELEMETRY.span("session.frame_timing"):
-            hierarchy = TextureMemoryHierarchy(self.config)
-            dram_latency = hierarchy.dram_average_latency(hier)
-            dram_cycles = hierarchy.dram_transfer_cycles(hier)
+            dram_latency = self._hierarchy.dram_average_latency(hier)
+            dram_cycles = self._hierarchy.dram_transfer_cycles(hier)
             checks = capture.num_pixels if scenario.use_stage1 else 0
             tex_timing = self._texpipe.frame_timing(
                 trilinear_samples=decision.total_trilinear,

@@ -11,17 +11,25 @@ same inputs, and compares:
 * integer state — mip levels, anisotropy degrees, footprint keys and
   stage-1/stage-2 decisions — must agree *exactly*.
 
+``oracle_memsys`` is the cache-simulator member of the layer: the bulk
+stack-distance hierarchy against the tile-by-tile dict LRU, with
+identical statistics required.
+
 Every oracle is deterministic in ``cfg.seed``: a failure found in CI
 reproduces locally with the same seed.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from ..config import CacheConfig, GpuConfig
 from ..core.af_ssim import af_ssim_n, af_ssim_txds, txds_from_csr
 from ..core.predictor import TwoStagePredictor
 from ..core.scenarios import SCENARIOS
+from ..memsys.hierarchy import TextureMemoryHierarchy
 from ..obs import TELEMETRY
 from ..texture.anisotropic import anisotropic_filter
 from ..texture.footprint import compute_footprints
@@ -35,6 +43,7 @@ from .reference import (
     ref_bilinear,
     ref_compute_footprint,
     ref_footprint_key,
+    ref_memory_hierarchy,
     ref_trilinear,
     ref_trilinear_levels,
     ref_two_stage_decision,
@@ -375,6 +384,105 @@ def oracle_raster_backends(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+def _memsys_configs() -> "tuple[tuple[str, GpuConfig], ...]":
+    """Cache geometries the memsys oracle runs every stream through."""
+    base = GpuConfig()
+    return (
+        ("baseline", base),
+        # The L2 a render session uses at scale 0.25 and 0.125.
+        ("l2_scale_0.25", replace(base, texture_l2=base.texture_l2.scaled_down(16))),
+        ("l2_scale_0.125", replace(base, texture_l2=base.texture_l2.scaled_down(64))),
+        ("one_set", replace(
+            base,
+            texture_l1=CacheConfig(size_bytes=4 * 64, ways=4),
+            texture_l2=CacheConfig(size_bytes=8 * 64, ways=8),
+        )),
+        ("direct_mapped", replace(
+            base,
+            texture_l1=CacheConfig(size_bytes=64 * 64, ways=1),
+            texture_l2=CacheConfig(size_bytes=256 * 64, ways=1),
+        )),
+    )
+
+
+def _memsys_tiles(
+    rng: np.random.Generator, num_units: int, tiles: int
+) -> "list[tuple[int, np.ndarray]]":
+    """One seeded frame of tile streams.
+
+    Tiles mix a tile-local footprint with lines shared across tiles
+    (cross-tile and cross-unit reuse) and repeat accesses in runs; some
+    start with the previous tile's last line. Others are empty, or a
+    same-set ring of 1-8 lines between two uses of a sentinel line,
+    whose long reuse window holds just under, at or over ``ways``
+    distinct lines. One unit gets no tiles at all.
+    """
+    idle = int(rng.integers(num_units))
+    units = [u for u in range(num_units) if u != idle]
+    shared = rng.integers(0, 1 << 20, 96)
+    same_set = 64 * 4096  # a multiple of every set count used here
+    frame = []
+    last = np.zeros(1, dtype=np.int64)
+    for t in range(tiles):
+        kind = rng.random()
+        if kind < 0.1:
+            lines = np.empty(0, dtype=np.int64)
+        elif kind < 0.3:
+            ring = int(rng.integers(0, 1 << 20)) + same_set * np.arange(9)
+            size = int(rng.integers(1, 9))
+            lines = np.concatenate([
+                ring[-1:], np.tile(ring[:size], int(rng.integers(4, 40))), ring[-1:],
+            ])
+        else:
+            length = int(rng.integers(1, 160))
+            local = int(rng.integers(0, 1 << 20)) + rng.integers(0, 48, length)
+            lines = np.where(rng.random(length) < 0.3, rng.choice(shared, length), local)
+            lines = np.repeat(lines, rng.integers(1, 4, length))
+            if rng.random() < 0.3:
+                lines = np.concatenate([last, lines])
+        lines = lines.astype(np.int64)
+        frame.append((units[t % len(units)], lines))
+        last = lines[-1:] if lines.size else last
+    return frame
+
+
+def oracle_memsys(cfg: VerifyConfig) -> OracleResult:
+    """Bulk LRU hierarchy vs the tile-by-tile dict LRU: stats identical.
+
+    Seeded multi-unit frames run through both on the baseline
+    geometry, the scaled-down L2s of scale 0.25 and 0.125, one-set
+    caches and direct-mapped caches. Every field of
+    :class:`~repro.memsys.hierarchy.HierarchyStats` must match.
+    """
+    rng = np.random.default_rng(cfg.seed + 7)
+    frames = [
+        _memsys_tiles(rng, GpuConfig().num_texture_units, int(rng.integers(8, 48)))
+        for _ in range(4 if cfg.quick else 12)
+    ]
+    configs = _memsys_configs()
+    mismatches: "list[str]" = []
+    accesses = 0
+    for name, config in configs:
+        hierarchy = TextureMemoryHierarchy(config)
+        for i, frame in enumerate(frames):
+            got = hierarchy.process_frame(frame).to_dict()
+            if got != ref_memory_hierarchy(config, frame).to_dict():
+                mismatches.append(f"{name}:frame{i}")
+            accesses += got["l1"]["accesses"]
+    return OracleResult(
+        name="diff_memsys",
+        layer=LAYER_DIFFERENTIAL,
+        passed=not mismatches,
+        max_error=0.0,
+        fragments=accesses,
+        details={
+            "frames": len(frames),
+            "configs": [name for name, _ in configs],
+            "mismatched": mismatches,
+        },
+    )
+
+
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
     oracle_bilinear,
@@ -385,4 +493,5 @@ DIFFERENTIAL_ORACLES = (
     oracle_txds,
     oracle_two_stage,
     oracle_raster_backends,
+    oracle_memsys,
 )

@@ -1,15 +1,16 @@
 """Scalar reference oracle: naive re-derivations of the filtering math.
 
 Every function here reimplements one vectorized kernel of
-:mod:`repro.texture` or :mod:`repro.core` as a straight-line,
-per-fragment Python loop, directly from the definitions (OpenGL-style
-bilinear/trilinear filtering, Eq. 3 anisotropic averaging, and the
-paper's Eq. 5/6/8/9/10 predictors). The differential oracle layer
-(:mod:`repro.verify.differential`) compares the two implementations on
-seeded random fragment batches; because the reference shares *no code
-path* with the production kernels (no broadcasting, no fancy indexing,
-no grouped dense kernels), an indexing or vectorization bug in either
-side shows up as a mismatch.
+:mod:`repro.texture`, :mod:`repro.core` or :mod:`repro.memsys` as a
+straight-line, per-fragment (or per-access) Python loop, directly from
+the definitions (OpenGL-style bilinear/trilinear filtering, Eq. 3
+anisotropic averaging, the paper's Eq. 5/6/8/9/10 predictors, and the
+texture cache hierarchy as a tile-by-tile dict-LRU walk). The
+differential oracle layer (:mod:`repro.verify.differential`) compares
+the two implementations on seeded random inputs; because the
+reference shares *no code path* with the production kernels (no
+broadcasting, no fancy indexing, no grouped dense kernels), an indexing
+or vectorization bug in either side shows up as a mismatch.
 
 Deliberate exception to full independence: transcendentals
 (``log2``/``hypot``) go through numpy *scalar* calls, which use the
@@ -30,6 +31,10 @@ import math
 
 import numpy as np
 
+from ..config import GpuConfig
+from ..memsys.cache import CacheSim
+from ..memsys.dram import DramModel
+from ..memsys.hierarchy import HierarchyStats
 from ..texture.mipmap import MipChain
 from ..texture.sampler import _COORD_BITS, _COORD_MASK
 
@@ -40,6 +45,7 @@ __all__ = [
     "ref_bilinear",
     "ref_compute_footprint",
     "ref_footprint_key",
+    "ref_memory_hierarchy",
     "ref_trilinear",
     "ref_trilinear_levels",
     "ref_two_stage_decision",
@@ -246,3 +252,27 @@ def ref_two_stage_decision(
         use_stage2 and not stage1 and ref_af_ssim_txds(txds) > thr2
     )
     return stage1, stage2
+
+
+def ref_memory_hierarchy(
+    config: GpuConfig, tile_streams: "list[tuple[int, np.ndarray]]"
+) -> HierarchyStats:
+    """The texture hierarchy simulated tile by tile with dict LRUs.
+
+    Each tile's lines go through its unit's :class:`CacheSim` L1 and
+    the tile's L1 misses straight on through the shared L2, so the L2
+    sees the units' misses interleaved in tile order.
+    """
+    l1s = [CacheSim(config.texture_l1) for _ in range(config.num_texture_units)]
+    l2 = CacheSim(config.texture_l2)
+    dram_lines = [np.empty(0, dtype=np.int64)]
+    for unit, lines in tile_streams:
+        l1_misses = l1s[unit].access(lines)
+        if l1_misses.size:
+            dram_lines.append(l2.access(l1_misses))
+    stats = HierarchyStats()
+    for l1 in l1s:
+        stats.l1.merge(l1.stats)
+    stats.l2.merge(l2.stats)
+    stats.dram = DramModel(config.memory).observe(np.concatenate(dram_lines))
+    return stats

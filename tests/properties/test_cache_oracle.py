@@ -1,9 +1,11 @@
-"""Oracle test: CacheSim vs an independent reference LRU implementation.
+"""Oracle tests for the cache simulators.
 
-The production simulator carries optimizations (consecutive-duplicate
-collapsing, per-set move-to-front lists). The oracle below is written
+``CacheSim``, the dict LRU, carries one optimization (consecutive
+duplicates are collapsed before the walk). The oracle below is written
 for clarity, not speed — an OrderedDict per set — and hypothesis drives
-both with the same random streams.
+both with the same random streams. ``CacheSim`` is in turn the oracle of
+the bulk stack-distance hierarchy (``repro.memsys.lru``): whole
+multi-unit frames must give identical ``HierarchyStats``.
 """
 
 from collections import OrderedDict
@@ -11,8 +13,10 @@ from collections import OrderedDict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, GpuConfig
 from repro.memsys.cache import CacheSim
+from repro.memsys.hierarchy import TextureMemoryHierarchy
+from repro.verify.reference import ref_memory_hierarchy
 
 
 class OracleLru:
@@ -76,3 +80,32 @@ class TestOracleAgreement:
         )
         assert whole.stats.hits == chunked.stats.hits
         assert np.array_equal(whole_misses, chunked_misses)
+
+
+@st.composite
+def _frame(draw):
+    """Tile streams over few units and a small line universe."""
+    tiles = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.lists(st.integers(min_value=0, max_value=60), max_size=40),
+        ),
+        max_size=12,
+    ))
+    return [(unit, np.asarray(lines, dtype=np.int64)) for unit, lines in tiles]
+
+
+class TestHierarchyOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _frame(),
+        st.sampled_from([(1, 1, 1, 2), (2, 2, 1, 4), (4, 2, 4, 4), (1, 4, 2, 1)]),
+    )
+    def test_bulk_hierarchy_matches_tile_by_tile_dict_lru(self, frame, geometry):
+        l1_sets, l1_ways, l2_sets, l2_ways = geometry
+        config = GpuConfig(
+            texture_l1=CacheConfig(size_bytes=l1_sets * l1_ways * 64, ways=l1_ways),
+            texture_l2=CacheConfig(size_bytes=l2_sets * l2_ways * 64, ways=l2_ways),
+        )
+        got = TextureMemoryHierarchy(config).process_frame(frame)
+        assert got.to_dict() == ref_memory_hierarchy(config, frame).to_dict()
