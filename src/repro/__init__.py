@@ -20,6 +20,9 @@ Subpackages:
   architecture models (caches/DRAM, cycles, energy/area).
 * :mod:`repro.quality` — SSIM/MSSIM image-quality analysis.
 * :mod:`repro.workloads` — the Table II game scenes and R.Bench.
+  ``GAME_WORKLOADS`` is lazy: importing :mod:`repro` builds no scene;
+  a game's scene is built the first time one of its workloads is
+  looked up.
 * :mod:`repro.renderer` — the end-to-end render/evaluate session.
 * :mod:`repro.replay`, :mod:`repro.study` — vsync replay + user study.
 * :mod:`repro.experiments` — one module per paper table/figure.

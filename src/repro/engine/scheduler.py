@@ -12,9 +12,9 @@ the state (caches, failure records, checkpoint), the engine decides
   ProcessPoolExecutor, created once per (spec, jobs) in a shared
   module-level registry and reused across ``execute()`` calls *and
   contexts*, forked where the platform allows so workers
-  inherit the parent's warm state (resolved workloads, imported numpy)
-  instead of rebuilding it per process. Jobs travel in chunks (one IPC
-  round-trip per chunk, not per job) through
+  inherit the parent's warm state (the scenes the parent has built,
+  imported numpy) instead of rebuilding it per process. Jobs travel
+  in chunks (one IPC round-trip per chunk, not per job) through
   :func:`~repro.engine.worker.run_job_chunk`. Captures are rendered in
   a first wave (one job per distinct frame, so N eval jobs on a frame
   don't race N renders of it), then evaluations stream through the
@@ -80,9 +80,11 @@ def _shared_pool(
             if i != len(_POOLS) - 1:
                 _POOLS.append(_POOLS.pop(i))
             return executor
-    # Fork where available: workers inherit the parent's resolved
-    # workloads and imported modules copy-on-write instead of
-    # re-importing and re-building them per process.
+    # Fork where available: workers inherit the imported modules and
+    # whatever scenes the parent has built so far copy-on-write.
+    # ``execute()`` builds the scenes its jobs name before it first
+    # uses a pool, so only a pool reused by a later ``execute()`` for
+    # other games has each worker build those scenes itself.
     methods = multiprocessing.get_all_start_methods()
     mp_context = multiprocessing.get_context(
         "fork" if "fork" in methods else None
@@ -319,6 +321,16 @@ class Engine:
             ):
                 synthetic.append(capture_job(wl, frame, job.config_key))
 
+        # Warm the fork template before the first pool use (the tiled
+        # dispatch below may fork it): resolving each distinct workload
+        # in the parent builds its scene once, and every worker forked
+        # from here on inherits it instead of building it itself.
+        for name in dict.fromkeys(job.workload for job in pending):
+            try:
+                resolve_workload(name)
+            except Exception:  # noqa: BLE001 — the job itself reports it
+                pass
+
         # Tile-level dispatch: the waves parallelize at frame
         # granularity, so when fewer distinct frames need rendering
         # than there are workers, most of the fleet would idle through
@@ -340,15 +352,6 @@ class Engine:
                     ctx.capture_spec(*job.capture_key())
                 ).exists()
             ]
-
-        # Warm the fork template: resolving each distinct workload in
-        # the parent populates the lru caches every forked worker then
-        # inherits, so N workers don't build the same scene N times.
-        for name in dict.fromkeys(job.workload for job in pending):
-            try:
-                resolve_workload(name)
-            except Exception:  # noqa: BLE001 — the job itself reports it
-                pass
 
         wave1 = [(job, True) for job in planned_captures]
         wave1 += [(job, False) for job in synthetic]

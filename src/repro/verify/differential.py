@@ -13,7 +13,9 @@ same inputs, and compares:
 
 ``oracle_memsys`` is the cache-simulator member of the layer: the bulk
 stack-distance hierarchy against the tile-by-tile dict LRU, with
-identical statistics required.
+identical statistics required. ``oracle_proctex`` holds the in-place
+texture synthesis to the plain expressions byte for byte, which is what
+keeps every scene texture, and hence every golden, unchanged.
 
 Every oracle is deterministic in ``cfg.seed``: a failure found in CI
 reproduces locally with the same seed.
@@ -35,19 +37,22 @@ from ..texture.anisotropic import anisotropic_filter
 from ..texture.footprint import compute_footprints
 from ..texture.mipmap import MipChain
 from ..texture.sampler import bilinear_sample, trilinear_info, trilinear_sample
-from ..workloads.proctex import facade_texture
+from ..workloads.proctex import _tint, _upsample, facade_texture, fbm_noise
 from .reference import (
     ref_af_ssim_n,
     ref_af_ssim_txds,
     ref_anisotropic,
     ref_bilinear,
     ref_compute_footprint,
+    ref_fbm_noise,
     ref_footprint_key,
     ref_memory_hierarchy,
+    ref_tint,
     ref_trilinear,
     ref_trilinear_levels,
     ref_two_stage_decision,
     ref_txds,
+    ref_upsample,
 )
 from .report import LAYER_DIFFERENTIAL, OracleResult, VerifyConfig
 
@@ -483,6 +488,59 @@ def oracle_memsys(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+#: Grid cell counts the synthesis oracle upsamples from (besides
+#: ``size`` itself): the generators' base cells, including 6 and 96,
+#: which divide no power-of-two size.
+PROCTEX_CELLS = (4, 6, 8, 96, 128)
+
+
+def oracle_proctex(cfg: VerifyConfig) -> OracleResult:
+    """In-place texture synthesis vs the plain expressions: bytes equal.
+
+    ``_upsample`` runs on seeded grids of every cell count in
+    :data:`PROCTEX_CELLS` and ``size`` (clamped to ``size``, as
+    ``fbm_noise`` clamps) at sizes 64-1024; ``fbm_noise`` and ``_tint``
+    with hue noise run on seeded fields. ``fragments`` counts the texels
+    compared.
+    """
+    rng = np.random.default_rng(cfg.seed + 11)
+    sizes = (64, 256, 1024) if cfg.quick else (64, 128, 256, 512, 1024)
+    mismatches: "list[str]" = []
+    texels = 0
+    max_err = 0.0
+
+    def compare(label: str, got: np.ndarray, want: np.ndarray) -> None:
+        nonlocal texels, max_err
+        texels += got.shape[0] * got.shape[1]
+        if got.shape != want.shape or got.tobytes() != want.tobytes():
+            mismatches.append(label)
+            if got.shape == want.shape:
+                max_err = max(max_err, float(np.abs(got - want).max()))
+
+    for size in sizes:
+        for cells in sorted({min(c, size) for c in PROCTEX_CELLS + (size,)}):
+            grid = rng.random((cells, cells))
+            compare(f"upsample:{cells}->{size}",
+                    _upsample(grid, size), ref_upsample(grid, size))
+    for size in sizes[:2]:
+        seed = int(rng.integers(1 << 16))
+        cells = int(rng.choice(PROCTEX_CELLS))
+        noise = fbm_noise(size, seed, octaves=4, base_cells=cells)
+        compare(f"fbm:{cells}->{size}", noise,
+                ref_fbm_noise(size, seed, octaves=4, base_cells=cells))
+        tint = rng.uniform(0.2, 1.5, 3)  # components > 1 exercise the clip
+        compare(f"tint:{size}", _tint(noise, tint, variation=0.4, seed=seed),
+                ref_tint(noise, tint, variation=0.4, seed=seed))
+    return OracleResult(
+        name="diff_proctex",
+        layer=LAYER_DIFFERENTIAL,
+        passed=not mismatches,
+        max_error=max_err,
+        fragments=texels,
+        details={"sizes": list(sizes), "mismatched": mismatches},
+    )
+
+
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
     oracle_bilinear,
@@ -494,4 +552,5 @@ DIFFERENTIAL_ORACLES = (
     oracle_two_stage,
     oracle_raster_backends,
     oracle_memsys,
+    oracle_proctex,
 )

@@ -19,6 +19,13 @@ last-ulp behaviour so integer LOD/N agreement can be asserted
 *exactly* — a 1-ulp libm difference at a ``floor`` boundary would
 otherwise be an un-actionable flake, not a caught bug.
 
+The texture-synthesis references (``ref_upsample``, ``ref_fbm_noise``,
+``ref_tint``) are the plain-expression forms the in-place production
+code in :mod:`repro.workloads.proctex` replaced: ``np.ix_`` corner
+gathers, one fresh temporary per operation, ``concatenate`` for alpha.
+Both sides run the same IEEE operations per element, so they must
+agree byte for byte.
+
 Tolerance policy (see ``docs/testing.md``): colors within ``1e-6``
 absolute (the production kernels blend in float32, the reference in
 float64); integer state (mip levels, anisotropy degree, footprint
@@ -44,12 +51,15 @@ __all__ = [
     "ref_anisotropic",
     "ref_bilinear",
     "ref_compute_footprint",
+    "ref_fbm_noise",
     "ref_footprint_key",
     "ref_memory_hierarchy",
+    "ref_tint",
     "ref_trilinear",
     "ref_trilinear_levels",
     "ref_two_stage_decision",
     "ref_txds",
+    "ref_upsample",
 ]
 
 
@@ -276,3 +286,56 @@ def ref_memory_hierarchy(
     stats.l2.merge(l2.stats)
     stats.dram = DramModel(config.memory).observe(np.concatenate(dram_lines))
     return stats
+
+
+def ref_upsample(grid: np.ndarray, size: int) -> np.ndarray:
+    """Periodic bilinear upsampling with ``np.ix_`` corner gathers."""
+    g = grid.shape[0]
+    coords = np.arange(size) * g / size
+    i0 = coords.astype(np.int64)
+    f = coords - i0
+    i1 = (i0 + 1) % g
+    top = grid[np.ix_(i0, i0)]
+    right = grid[np.ix_(i0, i1)]
+    bottom = grid[np.ix_(i1, i0)]
+    diag = grid[np.ix_(i1, i1)]
+    fx = f[None, :]
+    fy = f[:, None]
+    return (
+        top * (1 - fx) * (1 - fy)
+        + right * fx * (1 - fy)
+        + bottom * (1 - fx) * fy
+        + diag * fx * fy
+    )
+
+
+def ref_fbm_noise(
+    size: int, seed: int, octaves: int = 5, base_cells: int = 4
+) -> np.ndarray:
+    """Fractal value noise, one fresh array per octave."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((size, size), dtype=np.float64)
+    amplitude = 1.0
+    total = 0.0
+    cells = base_cells
+    for _ in range(octaves):
+        cells = min(cells, size)
+        grid = rng.random((cells, cells))
+        out += amplitude * ref_upsample(grid, size)
+        total += amplitude
+        amplitude *= 0.55
+        cells *= 2
+    return out / total
+
+
+def ref_tint(
+    gray: np.ndarray, color, variation: float = 0.0, seed: int = 0
+) -> np.ndarray:
+    """RGB tint with optional hue noise; alpha appended by concatenation."""
+    color = np.asarray(color, dtype=np.float64)
+    rgb = gray[..., None] * color[None, None, :]
+    if variation > 0:
+        n = ref_fbm_noise(gray.shape[0], seed + 7, octaves=3)
+        rgb *= 1.0 + variation * (n[..., None] - 0.5)
+    alpha = np.ones(gray.shape + (1,), dtype=np.float64)
+    return np.clip(np.concatenate([rgb, alpha], axis=-1), 0.0, 1.0)

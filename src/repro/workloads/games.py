@@ -8,18 +8,25 @@ since that mix is what determines both AF's cost and PATU's opportunity
 
 The scene geometry is shared between resolutions of the same game
 (HL2 and Doom3 run at three resolutions each, Section VI).
+
+Nothing is built at import: :data:`GAME_WORKLOADS` is a read-only
+mapping whose names come from :data:`TABLE2_ROWS`, and a game's scene
+(the texture synthesis dominates, ~150-500 ms per game) is built the
+first time one of its workloads is looked up.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
 from ..errors import WorkloadError
 from ..geometry.camera import Camera
 from ..geometry.mesh import make_box, make_quad
+from ..obs import TELEMETRY
 from .proctex import (
     asphalt_texture,
     dirt_texture,
@@ -79,7 +86,30 @@ def _forward_path(eye0, target0, step, frames_to_target_ratio=0.0):
     return path
 
 
-@functools.lru_cache(maxsize=None)
+def _scene_builder(game: str):
+    """Memoise a game's scene builder; its one real build is traced.
+
+    The build runs inside a ``workloads.build`` span and counts one
+    ``workloads.scenes_built``, so a build triggered inside a traced
+    run is its own layer, not unattributed time of whatever asked for
+    the workload. Cache hits record nothing.
+    """
+
+    def decorate(build):
+        @functools.lru_cache(maxsize=None)
+        @functools.wraps(build)
+        def cached() -> Scene:
+            with TELEMETRY.span("workloads.build", workload=game):
+                scene = build()
+            TELEMETRY.count("workloads.scenes_built")
+            return scene
+
+        return cached
+
+    return decorate
+
+
+@_scene_builder("HL2")
 def _hl2_scene() -> Scene:
     """Half-Life 2: outdoor terrain, water, distant mountains, buildings."""
     scene = Scene(clear_color=(0.55, 0.65, 0.8, 1.0))
@@ -108,7 +138,7 @@ def _hl2_path(frame: int) -> Camera:
     return _forward_path((0.0, 3.0, 18.0), (2.0, 2.0, -60.0), 6.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("doom3")
 def _doom3_scene() -> Scene:
     """Doom3: a dark metal corridor — all four bounding surfaces grazing."""
     scene = Scene(clear_color=(0.02, 0.02, 0.03, 1.0))
@@ -134,7 +164,7 @@ def _doom3_path(frame: int) -> Camera:
     return _forward_path((0.0, 3.2, 12.0), (0.0, 3.0, -40.0), 7.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("grid")
 def _grid_scene() -> Scene:
     """GRID: a race track — extreme grazing asphalt dominates the frame."""
     scene = Scene(clear_color=(0.6, 0.7, 0.85, 1.0))
@@ -162,7 +192,7 @@ def _grid_path(frame: int) -> Camera:
     return _forward_path((0.0, 1.6, 10.0), (0.0, 1.0, -80.0), 10.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("nfs")
 def _nfs_scene() -> Scene:
     """Need For Speed: a city street canyon — road plus oblique facades."""
     scene = Scene(clear_color=(0.45, 0.5, 0.62, 1.0))
@@ -184,7 +214,7 @@ def _nfs_path(frame: int) -> Camera:
     return _forward_path((0.0, 2.0, 8.0), (0.0, 1.6, -60.0), 12.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("stal")
 def _stal_scene() -> Scene:
     """S.T.A.L.K.E.R.: open wasteland with ruins and fences."""
     scene = Scene(clear_color=(0.5, 0.52, 0.5, 1.0))
@@ -206,7 +236,7 @@ def _stal_path(frame: int) -> Camera:
     return _forward_path((0.0, 2.4, 15.0), (3.0, 1.5, -70.0), 8.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("Ut3")
 def _ut3_scene() -> Scene:
     """Unreal Tournament 3: a tech arena with ramps and platforms."""
     scene = Scene(clear_color=(0.2, 0.22, 0.3, 1.0))
@@ -234,7 +264,7 @@ def _ut3_path(frame: int) -> Camera:
     return _forward_path((0.0, 4.0, 12.0), (0.0, 3.0, -70.0), 6.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
+@_scene_builder("wolf")
 def _wolf_scene() -> Scene:
     """Wolfenstein: a low-fi stone dungeon corridor."""
     scene = Scene(clear_color=(0.05, 0.05, 0.06, 1.0))
@@ -278,13 +308,30 @@ _BUILDERS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _build_workloads() -> "dict[str, Workload]":
-    out: "dict[str, Workload]" = {}
-    for abbr, title, resolutions, library in TABLE2_ROWS:
-        scene_fn, path = _BUILDERS[abbr]
-        for width, height in resolutions:
-            wl = Workload(
+class _GameRegistry(Mapping):
+    """Read-only ``name -> Workload`` view of Table II, built on demand.
+
+    Names, order and length come from :data:`TABLE2_ROWS` alone, so
+    listing or membership tests build nothing. Looking a name up builds
+    its scene on first access (the per-game ``lru_cache`` builders
+    share one scene across a game's resolutions) and memoises the
+    :class:`Workload`.
+    """
+
+    def __init__(self) -> None:
+        self._rows = {
+            f"{abbr}-{width}x{height}": (abbr, title, width, height, library)
+            for abbr, title, resolutions, library in TABLE2_ROWS
+            for width, height in resolutions
+        }
+        self._built: "dict[str, Workload]" = {}
+
+    def __getitem__(self, name: str) -> Workload:
+        workload = self._built.get(name)
+        if workload is None:
+            abbr, title, width, height, library = self._rows[name]
+            scene_fn, path = _BUILDERS[abbr]
+            workload = Workload(
                 abbr=abbr,
                 title=title,
                 width=width,
@@ -293,25 +340,33 @@ def _build_workloads() -> "dict[str, Workload]":
                 scene=scene_fn(),
                 camera_path=path,
             )
-            out[wl.name] = wl
-    return out
+            self._built[name] = workload
+        return workload
+
+    def __contains__(self, name: object) -> bool:
+        # Mapping's default looks the name up, which would build it.
+        return name in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+#: Name -> Workload mapping for all Table II configurations (lazy).
+GAME_WORKLOADS: "Mapping[str, Workload]" = _GameRegistry()
 
 
 def workload_names() -> "list[str]":
     """All Table II configuration names, in presentation order."""
-    return list(_build_workloads().keys())
+    return list(GAME_WORKLOADS)
 
 
 def get_workload(name: str) -> Workload:
     """Look up a workload by its ``abbr-WxH`` name."""
-    workloads = _build_workloads()
-    try:
-        return workloads[name]
-    except KeyError:
+    if name not in GAME_WORKLOADS:
         raise WorkloadError(
-            f"unknown workload {name!r}; available: {sorted(workloads)}"
-        ) from None
-
-
-#: Name -> Workload mapping for all Table II configurations.
-GAME_WORKLOADS = _build_workloads()
+            f"unknown workload {name!r}; available: {sorted(GAME_WORKLOADS)}"
+        )
+    return GAME_WORKLOADS[name]

@@ -20,24 +20,42 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _upsample(grid: np.ndarray, size: int) -> np.ndarray:
-    """Bilinearly upsample a small random grid to ``size`` (periodic)."""
+    """Bilinearly upsample a small random grid to ``size`` (periodic).
+
+    Evaluates ``top*(1-fx)*(1-fy) + right*fx*(1-fy) + bottom*(1-fx)*fy
+    + diag*fx*fy`` left to right, in place on the gathered corner
+    arrays: every element sees the same IEEE operations in the same
+    order as the plain expression, so the result is bit-identical to
+    :func:`repro.verify.reference.ref_upsample`.
+    """
     g = grid.shape[0]
     coords = np.arange(size) * g / size
     i0 = coords.astype(np.int64)
     f = coords - i0
     i1 = (i0 + 1) % g
-    top = grid[np.ix_(i0, i0)]
-    right = grid[np.ix_(i0, i1)]
-    bottom = grid[np.ix_(i1, i0)]
-    diag = grid[np.ix_(i1, i1)]
+    # grid[i0][:, i1] selects the same elements as grid[np.ix_(i0, i1)].
+    rows0 = grid[i0]
+    rows1 = grid[i1]
     fx = f[None, :]
     fy = f[:, None]
-    return (
-        top * (1 - fx) * (1 - fy)
-        + right * fx * (1 - fy)
-        + bottom * (1 - fx) * fy
-        + diag * fx * fy
-    )
+    gx = 1 - fx
+    gy = 1 - fy
+    out = rows0[:, i0]
+    out *= gx
+    out *= gy
+    term = rows0[:, i1]
+    term *= fx
+    term *= gy
+    out += term
+    term = rows1[:, i0]
+    term *= gx
+    term *= fy
+    out += term
+    term = rows1[:, i1]
+    term *= fx
+    term *= fy
+    out += term
+    return out
 
 
 def fbm_noise(size: int, seed: int, octaves: int = 5, base_cells: int = 4) -> np.ndarray:
@@ -52,22 +70,30 @@ def fbm_noise(size: int, seed: int, octaves: int = 5, base_cells: int = 4) -> np
     for _ in range(octaves):
         cells = min(cells, size)
         grid = rng.random((cells, cells))
-        out += amplitude * _upsample(grid, size)
+        octave = _upsample(grid, size)
+        octave *= amplitude
+        out += octave
         total += amplitude
         amplitude *= 0.55
         cells *= 2
-    return out / total
+    out /= total
+    return out
 
 
 def _tint(gray: np.ndarray, color, variation: float = 0.0, seed: int = 0) -> np.ndarray:
     """Colorize a grayscale field with an RGB tint and optional hue noise."""
     color = np.asarray(color, dtype=np.float64)
-    rgb = gray[..., None] * color[None, None, :]
+    out = np.empty(gray.shape + (4,), dtype=np.float64)
+    rgb = out[..., :3]
+    np.multiply(gray[..., None], color[None, None, :], out=rgb)
     if variation > 0:
         n = fbm_noise(gray.shape[0], seed + 7, octaves=3)
-        rgb *= 1.0 + variation * (n[..., None] - 0.5)
-    alpha = np.ones(gray.shape + (1,), dtype=np.float64)
-    return np.clip(np.concatenate([rgb, alpha], axis=-1), 0.0, 1.0)
+        n -= 0.5
+        n *= variation
+        n += 1.0
+        rgb *= n[..., None]
+    out[..., 3] = 1.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def noise_texture(name: str, size: int = 256, seed: int = 1, color=(1, 1, 1)) -> Texture2D:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
+from repro.verify.reference import ref_fbm_noise, ref_tint, ref_upsample
 from repro.workloads.proctex import (
+    _tint,
+    _upsample,
     asphalt_texture,
     brick_texture,
     checker_texture,
@@ -94,3 +98,42 @@ class TestGenerators:
         lit = (tex.data[..., 0] > 0.9) & (tex.data[..., 2] < 0.6)
         dark = (tex.data[..., 0] < 0.2) & (tex.data[..., 2] > 0.15)
         assert lit.any() and dark.any()
+
+
+class TestSynthesisMatchesReference:
+    """The in-place synthesis must equal the plain expressions byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(1, 160),
+        size=st.sampled_from([16, 48, 64, 100, 128, 256]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_upsample(self, cells, size, seed):
+        grid = np.random.default_rng(seed).random((cells, cells))
+        assert _upsample(grid, size).tobytes() == ref_upsample(grid, size).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.sampled_from([8, 32, 64, 128]),
+        base_cells=st.sampled_from([1, 4, 6, 8, 16, 96, 128]),
+        octaves=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fbm_noise(self, size, base_cells, octaves, seed):
+        got = fbm_noise(size, seed, octaves=octaves, base_cells=base_cells)
+        want = ref_fbm_noise(size, seed, octaves=octaves, base_cells=base_cells)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.sampled_from([16, 64]),
+        color=st.tuples(*[st.floats(0.0, 2.0)] * 3),
+        variation=st.sampled_from([0.0, 0.15, 0.5, 1.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tint(self, size, color, variation, seed):
+        gray = fbm_noise(size, seed + 1) * 1.2 - 0.1  # spans the clip bounds
+        got = _tint(gray, color, variation=variation, seed=seed)
+        want = ref_tint(gray, color, variation=variation, seed=seed)
+        assert got.tobytes() == want.tobytes()
