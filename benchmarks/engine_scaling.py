@@ -32,20 +32,14 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import sys
 import tempfile
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from hotpath import calibration_token, machine_info  # noqa: E402
-
-from repro.engine.scheduler import shutdown_pools  # noqa: E402
-from repro.experiments import fig17_threshold  # noqa: E402
-from repro.experiments.runner import (  # noqa: E402
-    ExperimentContext,
-    format_table,
-)
-from repro.ioutil import atomic_write_text  # noqa: E402
+from repro.engine.scheduler import shutdown_pools
+from repro.experiments import fig17_threshold
+from repro.experiments.runner import ExperimentContext, format_table
+from repro.ioutil import atomic_write_text
+from repro.obs.machine import calibration_token, machine_info
 
 RESULTS_PATH = (
     pathlib.Path(__file__).resolve().parent.parent

@@ -21,10 +21,8 @@ Subcommands:
   past runs; ``--check`` exits nonzero on flagged regressions.
 * ``serve`` — run the render service: an asyncio JSON-lines front-end
   that coalesces concurrent eval/render requests into engine batches
-  and executes them on the in-process pool or remote socket workers
+  and executes them serially or on the fork pool, as ``--jobs`` says
   (``docs/architecture.md``, service section).
-* ``worker`` — run one remote socket worker that dials into a serve
-  parent (normally spawned automatically by ``--backend remote``).
 * ``store`` — capture-store maintenance: ``store stats`` reports
   per-shard entry counts/bytes plus the ``.corrupt/`` quarantine,
   ``store prune`` applies the size-bounded LRU eviction offline.
@@ -740,7 +738,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         scale=args.scale,
         jobs=args.jobs,
-        backend=args.backend,
         store_root=args.capture_cache,
         store_prefix=args.store_prefix,
         store_max_bytes=args.store_max_bytes,
@@ -752,18 +749,6 @@ def _cmd_serve(args) -> int:
         raster_tile=args.raster_tile,
     )
     return run_server(config)
-
-
-def _cmd_worker(args) -> int:
-    """Run one remote socket worker (see ``repro.engine.remote``)."""
-    from .engine.remote import worker_main
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: --connect expects HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
-        return 2
-    return worker_main(host, int(port))
 
 
 def _format_bytes(n: int) -> str:
@@ -966,11 +951,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 7070; 0 = ephemeral, "
                             "printed on stderr)")
     p_srv.add_argument("--backend",
-                       choices=("serial", "process", "remote"),
+                       choices=("serial", "process"),
                        default=None,
-                       help="execution backend (default: process when "
-                            "--jobs > 1, else serial; 'remote' uses "
-                            "TCP socket workers)")
+                       help="accepted for compatibility; the backend "
+                            "follows --jobs (process when > 1, else "
+                            "serial)")
     p_srv.add_argument("--max-pending", type=int, dest="max_pending",
                        default=DEFAULT_MAX_PENDING, metavar="N",
                        help="admission control: reject (429-style) "
@@ -998,14 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_srv)
     _add_obs_args(p_srv)
     _add_fault_args(p_srv)
-
-    p_wrk = sub.add_parser(
-        "worker",
-        help="run one remote socket worker (spawned by serve "
-             "--backend remote, or started by hand)",
-    )
-    p_wrk.add_argument("--connect", required=True, metavar="HOST:PORT",
-                       help="dial this serve parent's worker listener")
 
     p_store = sub.add_parser(
         "store",
@@ -1084,7 +1061,6 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "trends": _cmd_trends,
         "serve": _cmd_serve,
-        "worker": _cmd_worker,
         "store": _cmd_store,
     }
     started = time.perf_counter()

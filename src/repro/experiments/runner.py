@@ -210,30 +210,16 @@ class ExperimentContext:
         job_timeout: "float | None" = None,
         raster: str = DEFAULT_RASTER,
         raster_tile: int = DEFAULT_RASTER_TILE,
-        backend: "str | None" = None,
     ) -> None:
         if frames < 1:
             raise ExperimentError("need at least one frame per workload")
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if backend is None:
-            backend = "process" if jobs > 1 else "serial"
-        if backend not in ("serial", "process", "remote"):
-            raise ExperimentError(
-                f"unknown backend {backend!r} "
-                "(expected serial, process or remote)"
-            )
-        if backend == "serial" and jobs > 1:
-            backend = "process"
         self.scale = scale
         self.frames = frames
         self.workload_list = workloads
         self.base_config = config
         self.jobs = jobs
-        #: Execution backend: ``"serial"`` (in-process), ``"process"``
-        #: (fork pool), or ``"remote"`` (TCP socket workers — see
-        #: :mod:`repro.engine.remote`).
-        self.backend = backend
         #: Raster backend + tile size, threaded through every session
         #: this context builds (parent and pool workers alike) and into
         #: the capture-store key.

@@ -80,12 +80,6 @@ def tile_pixel_order(
     return bty * ts + br, btx * ts + bc, bty * tiles_x + btx
 
 
-def covered_tile_ids(mask: np.ndarray, tile_size: int) -> np.ndarray:
-    """Ascending flat ids of tiles containing at least one covered pixel."""
-    blocks = tile_blocks(mask, tile_size)
-    return np.nonzero(blocks.any(axis=(2, 3)).ravel())[0]
-
-
 def expand_grid_ranges(
     cx0: np.ndarray,
     cx1: np.ndarray,
@@ -191,8 +185,7 @@ class TilingEngine:
 
         Same conservative bbox-overlap semantics as :meth:`bin_triangles`
         (and the same stats side effects), but returns the flat pair
-        arrays directly — the sort-middle rasterizer and the tile-level
-        dispatcher consume these without materializing per-tile lists.
+        arrays directly, without materializing per-tile lists.
         """
         screen_xy = np.asarray(screen_xy, dtype=np.float64)
         mins = screen_xy.min(axis=1)

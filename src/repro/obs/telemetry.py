@@ -24,7 +24,8 @@ to *build* the arguments should additionally guard with
 ``if TELEMETRY.enabled:``.
 
 The registry is intentionally single-threaded (like the renderer); the
-span stack is one plain list.
+span stack is one plain list. ``repro serve`` keeps every write on its
+engine thread (see :mod:`repro.service.server`).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Two interchangeable raster backends produce bit-identical G-buffers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..geometry.camera import Camera
 from ..obs import TELEMETRY
 from ..geometry.clipping import clip_triangles_near
 from ..geometry.culling import cull_backfaces
-from ..geometry.tiling import TilingEngine, covered_tile_ids
+from ..geometry.tiling import TilingEngine
 from ..geometry.transform import transform_mesh
 from ..raster.binned import BinnedRasterizer
 from ..raster.gbuffer import GBuffer
@@ -52,11 +52,6 @@ class RenderedFrame:
     triangles_after_cull: int
     tile_triangle_pairs: int
     tiles_touched: int
-    #: Ascending flat ids of scheduling tiles (``tile_size`` grid) with
-    #: at least one visible pixel — the texture stage and the engine's
-    #: tile-level dispatch iterate these instead of rescanning the
-    #: G-buffer.
-    tile_list: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def render_gbuffer(
@@ -133,7 +128,6 @@ def render_gbuffer(
     stats = rasterizer.stats
     coverage = rasterizer.gbuffer.coverage_mask
     stats.quads_shaded = count_shaded_quads(coverage)
-    tile_list = covered_tile_ids(coverage, tile_size)
 
     if TELEMETRY.enabled:
         TELEMETRY.count("geometry.vertices", vertices)
@@ -158,5 +152,4 @@ def render_gbuffer(
         triangles_after_cull=triangles_after_cull,
         tile_triangle_pairs=tiling.stats.tile_triangle_pairs,
         tiles_touched=tiling.stats.tiles_touched,
-        tile_list=tile_list,
     )

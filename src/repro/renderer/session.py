@@ -45,7 +45,7 @@ from ..timing.params import TimingParams
 from ..timing.texpipe import TexturePipelineModel, TextureTiming
 from ..geometry.tiling import tile_pixel_order
 from ..workloads.scene import Workload
-from .pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE, RenderedFrame, render_gbuffer
+from .pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE, render_gbuffer
 
 _LUMA = np.asarray([0.299, 0.587, 0.114], dtype=np.float64)
 
@@ -253,49 +253,24 @@ class RenderSession:
     def _capture_frame_impl(
         self, workload: Workload, frame_index: int
     ) -> FrameCapture:
-        rendered = self.render_frame(workload, frame_index)
-        # Tile scheduling order: iterate the surviving tiles from the
-        # render's tile list (row-major tiles, raster order inside)
-        # instead of sorting a full-frame pixel scan.
+        width, height = workload.scaled_size(self.scale)
+        with TELEMETRY.span("capture.gbuffer"):
+            rendered = render_gbuffer(
+                workload.scene, workload.camera(frame_index), width, height,
+                tile_size=self.config.tile_size,
+                raster=self.raster, raster_tile=self.raster_tile,
+            )
+        gb = rendered.gbuffer
+        # Tile scheduling order: iterate the surviving tiles (row-major
+        # tiles, raster order inside) instead of sorting a full-frame
+        # pixel scan.
         rows, cols, tile_ids = tile_pixel_order(
-            rendered.gbuffer.coverage_mask, self.config.tile_size
+            gb.coverage_mask, self.config.tile_size
         )
         if rows.size == 0:
             raise PipelineError(
                 f"frame {frame_index} of {workload.name} produced no fragments"
             )
-        part = self.filter_pixels(workload, rendered, rows, cols, tile_ids)
-        return self.assemble_capture(workload, frame_index, rendered, [part])
-
-    def render_frame(self, workload: Workload, frame_index: int) -> RenderedFrame:
-        """Render one frame's G-buffer (phase 1 of a capture)."""
-        width, height = workload.scaled_size(self.scale)
-        camera = workload.camera(frame_index)
-        with TELEMETRY.span("capture.gbuffer"):
-            return render_gbuffer(
-                workload.scene, camera, width, height,
-                tile_size=self.config.tile_size,
-                raster=self.raster, raster_tile=self.raster_tile,
-            )
-
-    def filter_pixels(
-        self,
-        workload: Workload,
-        rendered: RenderedFrame,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        tile_ids: np.ndarray,
-    ) -> "dict[str, np.ndarray]":
-        """Texture-filter a tile-ordered pixel subset (phase 2 of a capture).
-
-        Every output is per-pixel or per-quad local, and quads never
-        span scheduling tiles, so filtering any union of whole tiles
-        yields exactly the rows the full-frame pass would produce —
-        this is what makes the engine's tile-level dispatch
-        byte-identical to a serial capture.
-        """
-        gb = rendered.gbuffer
-        width = gb.width
         layout, name_to_chain = self._scene_layout(workload.scene)
         unit = TextureUnit(layout, max_aniso=self.config.texture_unit.max_anisotropy)
 
@@ -378,58 +353,13 @@ class RenderSession:
                 )
                 af_lines[dst8] = batch.af_lines
 
+        with TELEMETRY.span("capture.txds"):
             # The per-pixel Txds still carries sub-texel alignment noise from
             # each pixel's own (u, v); the quad's pipelines process the quad
             # as one SIMD unit, so smooth the statistic over the quad too.
             txds = _group_mean(txds_from_csr(sample_keys, row_ptr), quad_group)
             share = sharing_fraction_from_csr(sample_keys, row_ptr)
 
-        return {
-            "rows": rows,
-            "cols": cols,
-            "tile_ids": tile_ids,
-            "tex_ids": tex_of_pixel.astype(np.int16),
-            "n": n,
-            "lod_tf": lod_tf,
-            "lod_af": lod_af,
-            "txds": txds,
-            "share_fraction": share,
-            "af_color": af_color,
-            "tf_color": tf_color,
-            "tfa_color": tfa_color,
-            "sample_keys": sample_keys,
-            "af_lines": af_lines,
-            "tf_lines": tf_lines,
-            "tfa_lines": tfa_lines,
-        }
-
-    def assemble_capture(
-        self,
-        workload: Workload,
-        frame_index: int,
-        rendered: RenderedFrame,
-        parts: "list[dict[str, np.ndarray]]",
-    ) -> FrameCapture:
-        """Merge tile-ordered filtered parts into a FrameCapture (phase 3).
-
-        ``parts`` must cover disjoint, ascending tile ranges; a single
-        full-range part reproduces the serial capture exactly, and the
-        concatenation of per-range parts is byte-identical to it (the
-        global CSR ``row_ptr`` is recomputed from the concatenated
-        per-pixel sample counts).
-        """
-        width, height = workload.scaled_size(self.scale)
-
-        def cat(key: str) -> np.ndarray:
-            if len(parts) == 1:
-                return parts[0][key]
-            return np.concatenate([p[key] for p in parts])
-
-        n = cat("n")
-        npx = n.shape[0]
-        row_ptr = np.zeros(npx + 1, dtype=np.int64)
-        np.cumsum(n, out=row_ptr[1:])
-        af_color = cat("af_color")
         workload_counts = FrameWorkload(
             vertices=rendered.vertices,
             triangles=rendered.triangles_after_cull,
@@ -444,23 +374,23 @@ class RenderSession:
             width=width,
             height=height,
             tile_size=self.config.tile_size,
-            rows=cat("rows"),
-            cols=cat("cols"),
-            tile_ids=cat("tile_ids"),
-            tex_ids=cat("tex_ids"),
+            rows=rows,
+            cols=cols,
+            tile_ids=tile_ids,
+            tex_ids=tex_of_pixel.astype(np.int16),
             n=n,
-            lod_tf=cat("lod_tf"),
-            lod_af=cat("lod_af"),
-            txds=cat("txds"),
-            share_fraction=cat("share_fraction"),
+            lod_tf=lod_tf,
+            lod_af=lod_af,
+            txds=txds,
+            share_fraction=share,
             af_color=af_color,
-            tf_color=cat("tf_color"),
-            tfa_color=cat("tfa_color"),
+            tf_color=tf_color,
+            tfa_color=tfa_color,
             sample_row_ptr=row_ptr,
-            sample_keys=cat("sample_keys"),
-            af_lines=cat("af_lines"),
-            tf_lines=cat("tf_lines"),
-            tfa_lines=cat("tfa_lines"),
+            sample_keys=sample_keys,
+            af_lines=af_lines,
+            tf_lines=tf_lines,
+            tfa_lines=tfa_lines,
             workload=workload_counts,
             baseline_luminance=np.empty(0),
             clear_luminance=clear_lum,

@@ -14,6 +14,12 @@ paper's quality-for-throughput trade.
 
 Rejections are counted under ``resilience.admission_rejections``, so
 they surface in ledger records through the standard resilience rollup.
+:meth:`AdmissionController.acquire` runs on the service's asyncio
+thread while the engine thread owns the single-threaded telemetry
+registry, so ``acquire`` only bumps :attr:`~AdmissionController.rejected`
+under its lock; the engine thread calls
+:meth:`~AdmissionController.fold_rejections` to move the new count
+into ``TELEMETRY``.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ class AdmissionController:
         self.peak_depth = 0
         #: Requests refused at the door since construction.
         self.rejected = 0
+        self._folded = 0
 
     @property
     def depth(self) -> int:
@@ -65,7 +72,6 @@ class AdmissionController:
         with self._lock:
             if self._depth >= self.max_pending:
                 self.rejected += 1
-                TELEMETRY.count("resilience.admission_rejections")
                 raise AdmissionError(
                     f"queue full ({self._depth}/{self.max_pending} "
                     "requests pending); retry later",
@@ -74,6 +80,19 @@ class AdmissionController:
             self._depth += 1
             if self._depth > self.peak_depth:
                 self.peak_depth = self._depth
+
+    def fold_rejections(self) -> int:
+        """Count rejections since the last fold into ``TELEMETRY``.
+
+        Call it from the thread that owns the telemetry registry.
+        Returns the number folded.
+        """
+        with self._lock:
+            delta = self.rejected - self._folded
+            self._folded = self.rejected
+        if delta:
+            TELEMETRY.count("resilience.admission_rejections", delta)
+        return delta
 
     def release(self) -> None:
         with self._lock:

@@ -4,9 +4,9 @@
 in requests/sec and p99 latency (ROADMAP item 4): concurrent clients
 speak a JSON-lines protocol, compatible in-flight requests coalesce
 into capture-affine engine batches (cross-request dedup), and
-execution lands on a pluggable backend — the in-process fork pool or
-remote TCP socket workers — under the same supervision layer batch
-runs use. See :mod:`repro.service.server` for the architecture.
+execution runs serially or on the supervised fork pool, chosen by
+``jobs`` exactly as for batch runs. See :mod:`repro.service.server`
+for the architecture.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Architecture (see ``docs/architecture.md``)::
                                                      │
                                     engine thread: ctx.execute(batch)
                                        │                    │
-                              process / remote pool   sharded capture
+                              serial or fork pool     sharded capture
                               (ChunkSupervisor)           store
 
 The front-end accepts any number of concurrent connections and speaks
@@ -28,21 +28,25 @@ byte-identical to sequential execution.
 The engine runs on a dedicated single thread: the asyncio loop stays
 responsive (pings, stats, new connections) while a batch renders, and
 engine state needs no locking because exactly one thread touches it.
+That includes ``TELEMETRY``, whose registry is single-threaded
+(:mod:`repro.obs.telemetry`): the front-end never writes to it, and
+admission rejections are tallied under the controller's lock and
+folded in by the engine thread before each batch and at shutdown.
 
 Admission control bounds the number of requests queued + executing;
 beyond ``max_pending`` the service rejects with a typed 429-style
-response immediately (:mod:`repro.resilience.admission`). Backends are
-pluggable per ``--backend``: the in-process fork pool or remote TCP
-socket workers (:mod:`repro.engine.remote`) — supervision semantics
-are identical on both.
+response immediately (:mod:`repro.resilience.admission`). The
+backend follows ``jobs``: serial in-process at 1, the supervised fork
+pool above it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine.capture_store import make_store, spec_digest
 from ..engine.jobs import KIND_CAPTURE, dedupe_jobs
@@ -74,7 +78,6 @@ class ServeConfig:
     port: int = 0
     scale: float = 0.25
     jobs: int = 1
-    backend: "str | None" = None
     store_root: "str | None" = None
     store_prefix: int = 1
     store_max_bytes: "int | None" = None
@@ -123,7 +126,6 @@ class RenderService:
             scale=config.scale,
             frames=1,
             jobs=config.jobs,
-            backend=config.backend,
             capture_cache=store,
             job_timeout=config.job_timeout,
             raster=config.raster,
@@ -143,6 +145,13 @@ class RenderService:
         self._stopping = asyncio.Event()
         self._server: "asyncio.base_events.Server | None" = None
         self._batcher: "asyncio.Task | None" = None
+        #: The engine thread: every batch and the final teardown run
+        #: here, one at a time.
+        self._engine: "concurrent.futures.ThreadPoolExecutor | None" = (
+            concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-engine"
+            )
+        )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -161,15 +170,22 @@ class RenderService:
         self._batcher = asyncio.create_task(self._batch_loop())
 
     async def serve_until_shutdown(self) -> None:
-        """Serve until a ``shutdown`` request (or cancellation)."""
+        """Serve until a ``shutdown`` request (or cancellation).
+
+        Teardown runs on cancellation too (``asyncio.run`` cancels this
+        task on SIGINT), so the last rejections still fold into
+        ``TELEMETRY`` before the caller writes its ledger record.
+        """
         assert self._server is not None
-        async with self._server:
-            await self._server.start_serving()
-            host, port = self.address
-            print(f"serve: listening on {host}:{port}", file=sys.stderr,
-                  flush=True)
-            await self._stopping.wait()
-        await self.aclose()
+        try:
+            async with self._server:
+                await self._server.start_serving()
+                host, port = self.address
+                print(f"serve: listening on {host}:{port}",
+                      file=sys.stderr, flush=True)
+                await self._stopping.wait()
+        finally:
+            await self.aclose()
 
     async def aclose(self) -> None:
         self._stopping.set()
@@ -180,18 +196,21 @@ class RenderService:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        # Run blocking teardown off-loop; it joins worker processes.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._close_backend
-        )
+        # Run blocking teardown off-loop, after any batch still on the
+        # engine thread; it joins worker processes.
+        engine, self._engine = self._engine, None
+        if engine is not None:
+            await asyncio.get_running_loop().run_in_executor(
+                engine, self._close_backend
+            )
+            engine.shutdown(wait=True)
 
     def _close_backend(self) -> None:
-        from ..engine.remote import shutdown_remote_pools
         from ..engine.scheduler import shutdown_pools
 
+        self.admission.fold_rejections()
         self.ctx.close()
         shutdown_pools()
-        shutdown_remote_pools()
 
     # -- front-end -------------------------------------------------------
 
@@ -283,7 +302,7 @@ class RenderService:
             requests = [request for request, _ in batch]
             try:
                 payloads = await loop.run_in_executor(
-                    None, self._execute_batch, requests
+                    self._engine, self._execute_batch, requests
                 )
             except Exception as exc:  # noqa: BLE001 — server must stay up
                 payloads = [error_response(r.id, exc) for r in requests]
@@ -295,6 +314,7 @@ class RenderService:
         self, requests: "list[Request]"
     ) -> "list[dict[str, object]]":
         """Plan + execute one coalesced batch on the engine thread."""
+        self.admission.fold_rejections()
         jobs = [request.job for request in requests]
         unique = dedupe_jobs(jobs)
         self.counters.batches += 1
@@ -319,7 +339,7 @@ class RenderService:
                     workload, frame, variant
                 ):
                     # Serial backend renders lazily on touch; the
-                    # process backends always publish to the store.
+                    # process backend always publishes to the store.
                     self.ctx.capture(workload, frame, variant=variant)
                 return ok_response(request.id, capture={
                     "digest": spec_digest(spec),

@@ -1,8 +1,11 @@
 """Engine execution tests: serial backend, warm store, parallel determinism."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.engine.jobs import eval_job
+from repro.engine.jobs import DEFAULT_VARIANT, eval_job
 from repro.errors import JobError
 from repro.experiments import fig17_threshold
 from repro.experiments.runner import ExperimentContext, format_table
@@ -112,3 +115,23 @@ class TestParallelDeterminism:
             with pytest.raises(JobError) as excinfo:
                 ctx.frame_metrics("no-such-game-1x1", 0, "patu", 0.4)
             assert excinfo.value.error_type == "WorkloadError"
+
+    def test_cold_single_frame_capture_matches_serial(self, tmp_path):
+        """A cold ``jobs=2`` run that needs one frame renders it on the
+        pool, frame-level; the stored capture must equal the serial
+        capture array for array."""
+        parallel = make_ctx(jobs=2, capture_cache=tmp_path / "captures")
+        parallel.execute(small_plan())
+        assert parallel.capture_store_stats().writes == 1
+        stored = parallel.capture_store.get(
+            parallel.capture_spec(WORKLOAD, 0, DEFAULT_VARIANT)
+        )
+        serial = make_ctx().capture(WORKLOAD, 0)
+        for field in dataclasses.fields(type(serial)):
+            a = getattr(serial, field.name)
+            b = getattr(stored, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name

@@ -46,7 +46,7 @@ class TestSessionTelemetry:
         spans = {s.name: s for s in TELEMETRY.spans}
         assert spans["session.capture_frame"].depth == 0
         for child in ("capture.gbuffer", "capture.texture_filtering",
-                      "capture.csr_merge"):
+                      "capture.csr_merge", "capture.txds"):
             assert spans[child].depth == 1
         assert spans["geometry.transform"].depth == 2
         assert TELEMETRY.counter_value("capture.visible_pixels") > 0

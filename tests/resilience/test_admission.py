@@ -32,11 +32,19 @@ class TestAdmission:
         try:
             gate = AdmissionController(1)
             gate.acquire()
-            with pytest.raises(AdmissionError):
-                gate.acquire()
+            for _ in range(3):
+                with pytest.raises(AdmissionError):
+                    gate.acquire()
+            # acquire() never touches the registry; the owner of the
+            # registry's thread folds the tally in.
             assert TELEMETRY.counter_value(
                 "resilience.admission_rejections"
-            ) == 1
+            ) == 0
+            assert gate.fold_rejections() == 3
+            assert gate.fold_rejections() == 0
+            assert TELEMETRY.counter_value(
+                "resilience.admission_rejections"
+            ) == 3
         finally:
             TELEMETRY.enabled = False
 

@@ -8,7 +8,9 @@ pools or subprocesses.
 
 import asyncio
 import json
+import threading
 
+from repro.obs import TELEMETRY
 from repro.service.protocol import encode_response, parse_request
 from repro.service.server import RenderService, ServeConfig
 
@@ -260,3 +262,149 @@ class TestFrontEnd:
                 await service.aclose()
 
         asyncio.run(scenario())
+
+
+def _assert_well_formed(spans) -> None:
+    """Every span nests inside one open span at the depth it recorded."""
+    eps = 1e-3  # µs; start and duration are rounded separately
+    stack: "list[float]" = []
+    for span in sorted(spans, key=lambda s: (s.start_us, -s.dur_us)):
+        while stack and stack[-1] <= span.start_us + eps:
+            stack.pop()
+        assert span.depth == len(stack), span
+        end = span.start_us + span.dur_us
+        if stack:
+            assert end <= stack[-1] + eps, span
+        stack.append(end)
+
+
+class TestTelemetryThreading:
+    def test_rejections_during_traced_batch_count_exactly(
+        self, tmp_path, monkeypatch
+    ):
+        """Admission rejections happen on the asyncio thread while the
+        engine thread is inside a traced batch that keeps writing the
+        registry. Only the engine thread touches ``TELEMETRY``, so the
+        rejection count is exact and the span tree stays well formed."""
+        clients, per_client = 8, 25
+        started, release = threading.Event(), threading.Event()
+        writers: "set[str]" = set()
+
+        def record_thread(method):
+            def wrapper(*args, **kwargs):
+                writers.add(threading.current_thread().name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        async def scenario():
+            service = await _start_service(tmp_path, max_pending=1)
+            for name in ("span", "count"):
+                monkeypatch.setattr(
+                    TELEMETRY, name, record_thread(getattr(TELEMETRY, name))
+                )
+            real_execute = service.ctx.execute
+
+            def traced_execute(jobs):
+                with TELEMETRY.span("stress.batch"):
+                    started.set()
+                    while not release.is_set():
+                        with TELEMETRY.span("stress.tick"):
+                            TELEMETRY.count("stress.ticks")
+                            release.wait(0.001)
+                    return real_execute(jobs)
+
+            service.ctx.execute = traced_execute
+            host, port = service.address
+            loop = asyncio.get_running_loop()
+
+            async def hammer(client: int) -> None:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for i in range(per_client):
+                        payload, _ = await _request(reader, writer, json.loads(
+                            _eval_line(f"x{client}-{i}", 0.4)
+                        ))
+                        assert payload["status"] == 429, payload
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                # The held request takes the only slot and its batch
+                # blocks on the engine thread until every rejection
+                # is in.
+                writer.write((_eval_line("held", 0.4) + "\n").encode())
+                await writer.drain()
+                assert await loop.run_in_executor(None, started.wait, 60)
+                await asyncio.gather(*(hammer(c) for c in range(clients)))
+            finally:
+                release.set()
+            try:
+                held = json.loads(await reader.readline())
+                assert held["ok"], held
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await service.aclose()
+            return service
+
+        TELEMETRY.reset()
+        TELEMETRY.enabled = True
+        try:
+            service = asyncio.run(scenario())
+            assert writers == {"repro-engine_0"}
+            expected = clients * per_client
+            assert service.counters.rejected == expected
+            assert service.admission.rejected == expected
+            assert TELEMETRY.counter_value(
+                "resilience.admission_rejections"
+            ) == expected
+            spans = TELEMETRY.spans
+            names = {span.name: span.depth for span in spans}
+            assert names["stress.batch"] == 0
+            assert names["stress.tick"] == 1
+            assert names["engine.execute"] == 1
+            _assert_well_formed(spans)
+        finally:
+            TELEMETRY.enabled = False
+            TELEMETRY.reset()
+
+    def test_cancelled_serve_still_folds_rejections(self, tmp_path):
+        """SIGINT cancels ``serve_until_shutdown`` (``asyncio.run``
+        cancels its task); teardown still folds rejections that no
+        batch followed into ``TELEMETRY``."""
+
+        async def scenario():
+            service = await _start_service(tmp_path, max_pending=1)
+            serving = asyncio.create_task(service.serve_until_shutdown())
+            host, port = service.address
+            service.admission.acquire()  # the only slot is taken
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for i in range(3):
+                    payload, _ = await _request(reader, writer, json.loads(
+                        _eval_line(f"r{i}", 0.4)
+                    ))
+                    assert payload["status"] == 429, payload
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            serving.cancel()
+            try:
+                await serving
+            except asyncio.CancelledError:
+                pass
+            return service
+
+        TELEMETRY.reset()
+        TELEMETRY.enabled = True
+        try:
+            service = asyncio.run(scenario())
+            assert service._engine is None  # teardown ran
+            assert TELEMETRY.counter_value(
+                "resilience.admission_rejections"
+            ) == 3
+        finally:
+            TELEMETRY.enabled = False
+            TELEMETRY.reset()
